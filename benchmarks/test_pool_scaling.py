@@ -7,9 +7,11 @@ SpMV and sparse-dense matmul, timed:
   call — the PR 4 shape);
 * sharded on the persistent ``pool`` executor (resident kernels +
   shared-memory operands — this PR);
-* fork-per-call supervised (the PR 5 shape);
-* warm pooled-supervised (``REPRO_POOL=1``'s routing: supervision
-  amortized inside resident workers).
+* fork-per-call supervised (the PR 5 shape, still the path of
+  recipe-less kernels; timed on a recipe-less clone of the kernel);
+* warm pooled-supervised (what ``run_supervised`` does for every
+  recipe-carrying kernel: supervision amortized inside resident
+  workers).
 
 All raw numbers go to ``BENCH_PR6.json`` at the repo root next to the
 PR 4/PR 5 reports; ``benchmarks/report.py --deltas`` renders the
@@ -122,13 +124,16 @@ def _matmul():
 
 def _measure(name, kernel, tensors):
     ref = kernel._run_single(tensors)
+    # without a recipe, run_supervised forks a child per call
+    forked = kernel.with_output_dims(kernel.output.dims)
+    forked.recipe = None
 
     def check(got):
         assert np.allclose(np.asarray(ref.vals), np.asarray(got.vals))
 
     check(kernel.run_sharded(tensors, executor="process", workers=2, shards=2))
     check(kernel.run_sharded(tensors, executor="pool", workers=2, shards=2))
-    check(run_supervised(kernel, tensors))
+    check(run_supervised(forked, tensors))
     # warm the pooled-supervised path before timing it: the first call
     # ships the recipe and builds the kernel in each worker
     check(pool_mod.run_pooled(kernel, tensors))
@@ -139,7 +144,7 @@ def _measure(name, kernel, tensors):
             tensors, executor="process", workers=2, shards=2)),
         "pool_2": _best(lambda: kernel.run_sharded(
             tensors, executor="pool", workers=2, shards=2)),
-        "fork_supervised": _best(lambda: run_supervised(kernel, tensors)),
+        "fork_supervised": _best(lambda: run_supervised(forked, tensors)),
         "pool_supervised_warm": _best(
             lambda: pool_mod.run_pooled(kernel, tensors)),
     }

@@ -1,17 +1,19 @@
 """Supervision overhead: in-process vs resource-capped child execution.
 
 SpMV and sparse-dense matmul, timed in-process (``_run_single``) and
-under :func:`repro.runtime.supervisor.run_supervised` (fork + rlimits +
-result pickled back over a pipe).  All raw numbers go to
-``BENCH_PR5.json`` at the repo root, alongside PR 4's scaling report.
+under :func:`repro.runtime.supervisor.run_supervised` (a resident,
+rlimit-capped pool worker; operands and the result cross over shared
+memory or the pipe).  All raw numbers go to ``BENCH_PR5.json`` at the
+repo root, alongside PR 4's scaling report; the committed file was
+recorded when supervision still forked a child per call.
 
-Supervision buys crash containment with a per-invocation tax (fork,
-rlimit setup, pipe transfer of the output tensor); the point of the
-report is to make that tax visible so callers can decide when
+Supervision buys crash containment with a per-invocation tax (dispatch
+to the worker, transfer of the output tensor); the point of the report
+is to make that tax visible so callers can decide when
 ``supervised=True`` is worth it.  The assertions only pin sanity —
 supervised runs produce identical results and the overhead stays within
-an order of magnitude on kernels of this size — because absolute fork
-cost varies wildly across container configurations.
+an order of magnitude on kernels of this size — because absolute
+process costs vary wildly across container configurations.
 """
 
 from __future__ import annotations

@@ -251,8 +251,8 @@ class Kernel:
         scalar for shape-∅ kernels).
 
         ``deadline`` is a per-call wall-clock budget in seconds.  It is
-        honored wherever execution is crash-isolated — the fork
-        supervisor and the worker pool kill the child and raise
+        honored wherever execution is crash-isolated — the worker pool
+        (or a recipe-less kernel's fork child) is killed and raises
         :class:`~repro.errors.KernelTimeoutError` when the budget runs
         out — and overrides the ambient ``REPRO_KERNEL_DEADLINE``
         default for this call only.  An unsupervised in-process run has
@@ -386,17 +386,18 @@ class Kernel:
 
         closed → run supervised; a crash/timeout raises its typed error
         and counts toward the breaker threshold.  open → serve the
-        pure-Python fallback without forking at all.  half-open → this
+        pure-Python fallback without isolation at all.  half-open → this
         call is the re-probe; success closes the breaker, failure
         re-opens it (with doubled backoff) and degrades to the fallback
         transparently — once callers have been getting fallback service,
         a probe failure is the breaker's business, not theirs.
 
-        Under ``REPRO_POOL=1`` the supervised run itself is served by
-        the persistent worker pool (rlimits paid once per worker, the
-        kernel resident, operands over shared memory) instead of a
-        fork-per-call child; the typed errors — and therefore the
-        breaker transitions driven here — are identical either way.
+        The supervised run itself goes to a resident worker of the
+        shared pool (rlimits paid once per worker, the kernel rebuilt
+        there from its recipe and kept resident, operands over shared
+        memory); only a recipe-less kernel forks a child per call.  The
+        typed errors — and therefore the breaker transitions driven
+        here — are identical either way.
         """
         from repro.runtime import breaker as breaker_mod
         from repro.runtime.supervisor import run_supervised
@@ -1208,11 +1209,16 @@ class KernelBuilder:
         restore, fresh build) so cache-restored kernels are just as
         shardable as fresh ones.  ``FunctionInput`` bindings hold
         arbitrary callables and cannot cross a process boundary, so
-        such kernels get no recipe.
+        such kernels get no recipe.  A kernel the C backend could not
+        build was a logged fallback to Python; its recipe asks for the
+        Python build, so a worker rebuilds the kernel the caller has
+        rather than retrying the compiler.
         """
         if kernel.recipe is None and all(
             isinstance(s, TensorInput) for s in specs.values()
         ):
+            fell_back = self.backend == "c" and not isinstance(
+                kernel._kernel, codegen_c.CKernel)
             kernel.recipe = KernelRecipe(
                 expr=expr,
                 ctx=self.ctx,
@@ -1222,11 +1228,11 @@ class KernelBuilder:
                 ),
                 output=output,
                 semiring=self.ops.semiring,
-                backend=self.backend,
+                backend="python" if fell_back else self.backend,
                 search=self.search,
                 locate=self.locate,
                 opt_level=self.opt_level,
-                vectorize=self.vectorize,
+                vectorize=None if fell_back else self.vectorize,
                 name=name,
                 attr_dims=tuple(sorted(attr_dims.items())),
             )

@@ -18,17 +18,18 @@ package exploits that:
   :meth:`repro.compiler.kernel.Kernel.run_sharded` and the
   ``REPRO_PARALLEL`` / ``REPRO_WORKERS`` environment knobs;
 - :mod:`repro.runtime.supervisor` contains one kernel invocation in a
-  resource-capped child process (``REPRO_SUPERVISE``,
-  ``REPRO_KERNEL_DEADLINE``, ``REPRO_KERNEL_MEM_MB``) so a segfault or
-  runaway loop becomes a typed error instead of host death;
+  resource-capped process — a resident pool worker, or a child forked
+  per call for a recipe-less kernel (``REPRO_SUPERVISE``,
+  ``REPRO_KERNEL_DEADLINE``, ``REPRO_KERNEL_MEM_MB``) — so a segfault
+  or runaway loop becomes a typed error instead of host death;
 - :mod:`repro.runtime.breaker` quarantines kernels that keep dying
   under supervision behind a circuit breaker that serves the
   pure-Python backend until a backoff re-probe succeeds;
 - :mod:`repro.runtime.pool` keeps a persistent, pre-warmed set of
   worker processes holding compiled kernels resident
   (``REPRO_POOL_WORKERS``, ``REPRO_POOL_WARM``,
-  ``REPRO_POOL_IDLE_TTL``), with supervision amortized inside the
-  workers (``REPRO_POOL``);
+  ``REPRO_POOL_IDLE_TTL``); it is both the ``pool`` shard executor and
+  the supervised path of every recipe-carrying kernel;
 - :mod:`repro.runtime.shm` is the zero-copy data plane under it:
   operands and results cross the process boundary as shared-memory
   descriptors, not pickles (``REPRO_SHM_THRESHOLD``);

@@ -156,7 +156,7 @@ class ProcessExecutor(Executor):
             max_workers=self.workers,
             mp_context=multiprocessing.get_context(ctx_name),
             initializer=worker_mod.init_worker,
-            initargs=(str(default_cache_dir()), dict(_repro_env())),
+            initargs=(str(default_cache_dir()), resilience.repro_env()),
         )
 
     def _submit(self, fn: Callable, *args, **kwargs) -> Future:
@@ -193,18 +193,6 @@ class PoolExecutor(Executor):
 
     def shutdown(self) -> None:
         self._threads.shutdown(wait=True)
-
-
-def _repro_env() -> dict:
-    """The ``REPRO_*`` knobs a worker must inherit verbatim.
-
-    ``spawn`` children do inherit ``os.environ``, but only the state at
-    ``Popen`` time — a pool worker respawned after a crash could see a
-    parent that has since mutated its environment.  Passing an explicit
-    snapshot through the initializer pins the configuration the pool
-    was created under.
-    """
-    return {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
 
 
 def get_executor(

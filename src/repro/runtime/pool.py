@@ -10,14 +10,15 @@ then reused for thousands of calls), and moves operand/result arrays
 through the :mod:`repro.runtime.shm` zero-copy data plane instead of
 pickle.
 
-Supervision moves *inside* the pool: workers run under ``RLIMIT_AS``
+Supervision lives *inside* the pool: workers run under ``RLIMIT_AS``
 applied once at start, the parent enforces per-call wall deadlines on
-the reply pipe, and death-by-signal is decoded from the exit status —
-the same typed-error contract as :mod:`repro.runtime.supervisor`, at a
-fraction of the per-call cost.  A dead worker never kills the pool:
-the call that observed the death raises its typed error and a fresh
-replacement (re-warmed with every recipe the pool has seen) takes the
-dead worker's slot.
+the reply pipe, and death-by-signal is decoded from the exit status.
+:func:`run_pooled` is the supervised path of every recipe-carrying
+kernel (:func:`repro.runtime.supervisor.run_supervised` routes there),
+so the sandbox cost is paid once per worker, not per call.  A dead
+worker never kills the pool: the call that observed the death raises
+its typed error and a fresh replacement (re-warmed with every recipe
+the pool has seen) takes the dead worker's slot.
 
 Worker lifecycle state machine::
 
@@ -31,15 +32,16 @@ Health checks: acquisition re-verifies liveness (a worker that died
 idle is replaced before it is ever handed out), and :meth:`
 WorkerPool.health_check` pings every idle worker on demand.  The
 circuit breaker of :mod:`repro.runtime.breaker` keys off the same
-failures this pool observes — :meth:`WorkerPool.stats` exposes the
-per-key counters next to the breaker's state snapshot.
+failures this pool observes — :meth:`WorkerPool.snapshot` exposes the
+per-key counters next to the breaker's state snapshot, and
+:func:`shared_pool_counters` the JSON-ready lifecycle counters serve's
+``/stats`` reports.
 """
 
 from __future__ import annotations
 
 import hashlib
 import multiprocessing
-import os
 import pickle
 import threading
 import time
@@ -124,6 +126,12 @@ class WorkerPool:
     ``REPRO_WORKERS``, else the CPU count); the start method follows
     ``REPRO_MP_START``; ``mem_mb`` (default ``REPRO_KERNEL_MEM_MB``)
     caps each worker's address space once, at spawn.
+
+    ``_lock`` guards bookkeeping only — the idle list, the busy set, the
+    recipe table and the count of slots reserved for workers still
+    starting.  Spawning, warming, pinging and joining a worker all run
+    outside it, so a replacement re-warming every recipe the pool has
+    seen never stalls calls on the healthy workers.
     """
 
     def __init__(
@@ -141,7 +149,7 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context(
             start_method or resilience.mp_start_method()
         )
-        self._mem_mb = mem_mb if mem_mb is not None else resilience.kernel_mem_mb()
+        self.mem_mb = mem_mb if mem_mb is not None else resilience.kernel_mem_mb()
         self._warm = (
             warm if warm is not None else resilience.pool_warm_enabled()
         )
@@ -149,6 +157,8 @@ class WorkerPool:
         self._have_idle = threading.Condition(self._lock)
         self._idle: List[_Worker] = []
         self._busy: set = set()
+        #: slots reserved for workers being spawned and warmed
+        self._starting = 0
         self._recipes: Dict[str, object] = {}
         self._next_wid = 0
         self._closed = False
@@ -156,29 +166,37 @@ class WorkerPool:
         from repro.compiler.cache import default_cache_dir
 
         self._cache_dir = str(default_cache_dir())
-        self._env = {
-            k: v for k, v in os.environ.items() if k.startswith("REPRO_")
-        }
+        self._env = resilience.repro_env()
         # pre-fork the full complement so first calls find warm pipes
-        with self._lock:
-            for _ in range(self.max_workers):
-                self._idle.append(self._spawn())
+        try:
+            self._fill()
+        except PoolUnavailableError:
+            self.shutdown()
+            raise
 
     # ------------------------------------------------------------------
     # worker lifecycle
     # ------------------------------------------------------------------
+    def _size(self) -> int:
+        """Workers held or being started (caller holds the lock)."""
+        return len(self._idle) + len(self._busy) + self._starting
+
     def _spawn(self) -> _Worker:
-        """Start one worker (caller holds the lock); re-warm it with
-        every recipe the pool has seen when warming is on."""
+        """Start one worker and re-warm it with every recipe the pool
+        has seen when warming is on (runs without the lock)."""
         from repro.runtime import worker as worker_mod
 
+        with self._lock:
+            wid = self._next_wid
+            self._next_wid += 1
+            recipes = dict(self._recipes) if self._warm else {}
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         try:
             proc = self._ctx.Process(
                 target=worker_mod.pool_worker_main,
-                args=(child_conn, self._cache_dir, self._env, self._mem_mb),
+                args=(child_conn, self._cache_dir, self._env, self.mem_mb),
                 daemon=True,
-                name=f"repro-pool-{self._next_wid}",
+                name=f"repro-pool-{wid}",
             )
             proc.start()
         except Exception as exc:
@@ -186,14 +204,47 @@ class WorkerPool:
             raise PoolUnavailableError(f"could not spawn pool worker: {exc}")
         finally:
             child_conn.close()
-        w = _Worker(proc, parent_conn, self._next_wid)
-        self._next_wid += 1
-        self.stats.spawned += 1
-        if self._warm:
-            for key, recipe in self._recipes.items():
-                if not self._warm_one(w, key, recipe):
-                    break
+        w = _Worker(proc, parent_conn, wid)
+        with self._lock:
+            self.stats.spawned += 1
+        # a recipe registered after the snapshot ships lazily with the
+        # worker's first call for its key
+        for key, recipe in recipes.items():
+            if not self._warm_one(w, key, recipe):
+                break
         return w
+
+    def _start_reserved(self, *, busy: bool) -> _Worker:
+        """Spawn a worker into a slot the caller reserved under the lock
+        (``_starting``) and hand it to the busy set (the caller's) or
+        the idle list.  The reservation is released in the same
+        critical section that places the worker, so the pool never
+        holds more than ``max_workers``."""
+        w = None
+        try:
+            w = self._spawn()
+        finally:
+            with self._lock:
+                self._starting -= 1
+                placed = w is not None and not self._closed
+                if placed and busy:
+                    self._busy.add(w)
+                elif placed:
+                    self._idle.append(w)
+                self._have_idle.notify()
+        if not placed:  # shut down while this worker was starting
+            self._retire(w)
+            raise PoolUnavailableError("worker pool is shut down")
+        return w
+
+    def _fill(self) -> None:
+        """Start idle workers until the pool holds ``max_workers``."""
+        while True:
+            with self._lock:
+                if self._closed or self._size() >= self.max_workers:
+                    return
+                self._starting += 1
+            self._start_reserved(busy=False)
 
     def _warm_one(self, w: _Worker, key: str, recipe) -> bool:
         """Ship one recipe to one worker and await the ack."""
@@ -211,9 +262,9 @@ class WorkerPool:
         )
         return True  # worker is healthy, the build just failed
 
-    def _destroy(self, w: _Worker, *, replace: bool) -> None:
-        """Kill one worker and optionally put a replacement on the idle
-        list (caller holds the lock)."""
+    @staticmethod
+    def _reap(w: _Worker) -> None:
+        """Kill one worker and join it."""
         try:
             w.conn.close()
         except Exception:
@@ -221,34 +272,48 @@ class WorkerPool:
         if w.proc.is_alive():
             w.proc.kill()
         w.proc.join(5.0)
-        self._busy.discard(w)
-        if w in self._idle:
-            self._idle.remove(w)
-        if replace and not self._closed:
-            self.stats.replaced += 1
+
+    def _destroy(self, w: _Worker, *, replace: bool) -> None:
+        """Kill one worker and optionally start a replacement in its
+        slot.  Takes the lock for the bookkeeping only; the kill, the
+        join and the replacement's spawn + warm-up run outside it (the
+        caller must not hold it)."""
+        with self._lock:
+            self._busy.discard(w)
+            if w in self._idle:
+                self._idle.remove(w)
+            replace = replace and not self._closed
+            if replace:
+                self._starting += 1
+                self.stats.replaced += 1
+        self._reap(w)
+        if replace:
             try:
-                self._idle.append(self._spawn())
-                self._have_idle.notify()
+                self._start_reserved(busy=False)
             except PoolUnavailableError as exc:
                 logger.warning("pool replacement spawn failed: %s", exc)
 
     def _acquire(self, timeout: Optional[float] = None) -> _Worker:
         deadline = None if timeout is None else time.monotonic() + timeout
+        dead = None
         with self._lock:
             while True:
                 if self._closed:
                     raise PoolUnavailableError("worker pool is shut down")
-                while self._idle:
+                if self._idle:
                     w = self._idle.pop()  # LIFO keeps hot workers hot
                     if w.proc.is_alive():
                         self._busy.add(w)
                         return w
-                    # died while idle: replace before handing anything out
-                    self._destroy(w, replace=True)
-                if len(self._busy) < self.max_workers:
-                    w = self._spawn()
-                    self._busy.add(w)
-                    return w
+                    # died while idle: its slot goes to a replacement,
+                    # started below for this caller
+                    dead = w
+                    self.stats.replaced += 1
+                    self._starting += 1
+                    break
+                if self._size() < self.max_workers:
+                    self._starting += 1
+                    break
                 remaining = (
                     None if deadline is None else deadline - time.monotonic()
                 )
@@ -259,30 +324,39 @@ class WorkerPool:
                 self._have_idle.wait(
                     0.1 if remaining is None else min(remaining, 0.1)
                 )
+        if dead is not None:
+            self._reap(dead)
+        return self._start_reserved(busy=True)
 
     def _release(self, w: _Worker) -> None:
         with self._lock:
             self._busy.discard(w)
-            if self._closed:
-                self._destroy(w, replace=False)
-                return
-            w.last_used = time.monotonic()
-            self._idle.append(w)
-            self._have_idle.notify()
-            self._evict_stale()
+            closed = self._closed
+            if not closed:
+                w.last_used = time.monotonic()
+                self._idle.append(w)
+                self._have_idle.notify()
+                stale = self._take_stale()
+        if closed:
+            self._reap(w)
+            return
+        for old in stale:
+            self._retire(old)
 
-    def _evict_stale(self) -> None:
-        """Drop idle workers beyond the TTL, always keeping one warm
-        (caller holds the lock).  ``_idle`` is LIFO — the front of the
-        list is the coldest worker."""
+    def _take_stale(self) -> List[_Worker]:
+        """Unlist idle workers beyond the TTL, always keeping one warm
+        (caller holds the lock and retires them after releasing it).
+        ``_idle`` is LIFO — the front of the list is the coldest
+        worker."""
         ttl = resilience.pool_idle_ttl()
         if ttl is None:
-            return
+            return []
         now = time.monotonic()
+        stale = []
         while len(self._idle) > 1 and now - self._idle[0].last_used > ttl:
-            w = self._idle.pop(0)
-            self._retire(w)
+            stale.append(self._idle.pop(0))
             self.stats.evicted += 1
+        return stale
 
     def _retire(self, w: _Worker) -> None:
         """Polite shutdown of one worker: exit message, then join."""
@@ -299,6 +373,19 @@ class WorkerPool:
             w.proc.kill()
             w.proc.join(5.0)
 
+    def _claim_idle(self, key: Optional[str] = None) -> List[_Worker]:
+        """Move idle workers (those not yet warm for ``key``, when
+        given) to the busy set, so the caller can talk to them without
+        the lock; each goes back through :meth:`_release` or
+        :meth:`_destroy`."""
+        with self._lock:
+            claimed = [w for w in self._idle
+                       if key is None or key not in w.warmed]
+            for w in claimed:
+                self._idle.remove(w)
+                self._busy.add(w)
+        return claimed
+
     # ------------------------------------------------------------------
     # the public call surface
     # ------------------------------------------------------------------
@@ -311,9 +398,11 @@ class WorkerPool:
             self._recipes[key] = recipe
             if not self._warm:
                 return
-            for w in list(self._idle):
-                if key not in w.warmed and not self._warm_one(w, key, recipe):
-                    self._destroy(w, replace=True)
+        for w in self._claim_idle(key):
+            if self._warm_one(w, key, recipe):
+                self._release(w)
+            else:
+                self._destroy(w, replace=True)
 
     def run_call(
         self,
@@ -379,8 +468,7 @@ class WorkerPool:
         limit = None if deadline is None else time.monotonic() + deadline
         while True:
             if limit is not None and time.monotonic() >= limit:
-                with self._lock:
-                    self._destroy(w, replace=True)
+                self._destroy(w, replace=True)
                 shm.unlink_by_name(rname)
                 self.stats.record_failure(key, timeout=True)
                 raise KernelTimeoutError(
@@ -409,8 +497,7 @@ class WorkerPool:
         """Decode a worker death into a typed error; kill + replace."""
         w.proc.join(2.0)
         code = w.proc.exitcode
-        with self._lock:
-            self._destroy(w, replace=True)
+        self._destroy(w, replace=True)
         if rname is not None:
             shm.unlink_by_name(rname)
         self.stats.record_failure(key or "<unknown>", timeout=False)
@@ -433,19 +520,20 @@ class WorkerPool:
         """Ping every idle worker; dead ones are replaced.  Returns
         ``{worker id: alive}`` for the workers checked."""
         report: Dict[int, bool] = {}
-        with self._lock:
-            for w in list(self._idle):
+        for w in self._claim_idle():
+            ok = False
+            try:
+                w.conn.send(("ping", w.wid))
+                if w.conn.poll(5.0):
+                    reply = w.conn.recv()
+                    ok = reply[0] == "pong" and reply[1] == w.wid
+            except (EOFError, OSError, BrokenPipeError):
                 ok = False
-                try:
-                    w.conn.send(("ping", w.wid))
-                    if w.conn.poll(5.0):
-                        reply = w.conn.recv()
-                        ok = reply[0] == "pong" and reply[1] == w.wid
-                except (EOFError, OSError, BrokenPipeError):
-                    ok = False
-                report[w.wid] = ok
-                if not ok:
-                    self._destroy(w, replace=True)
+            report[w.wid] = ok
+            if ok:
+                self._release(w)
+            else:
+                self._destroy(w, replace=True)
         return report
 
     def snapshot(self) -> Dict[str, object]:
@@ -468,21 +556,23 @@ class WorkerPool:
             "breaker": breaker_mod.breaker.snapshot(),
         }
 
+    def counters(self) -> Dict[str, object]:
+        """JSON-ready lifecycle and dispatch counters."""
+        with self._lock:
+            idle, busy = list(self._idle), list(self._busy)
+        return _counters(self.stats, idle, busy)
+
     # ------------------------------------------------------------------
     def grow(self, workers: int) -> None:
         """Raise the pool size (never shrinks below current)."""
         with self._lock:
             if self._closed or workers <= self.max_workers:
                 return
-            extra = workers - self.max_workers
             self.max_workers = workers
-            for _ in range(extra):
-                try:
-                    self._idle.append(self._spawn())
-                except PoolUnavailableError as exc:
-                    logger.warning("pool growth spawn failed: %s", exc)
-                    break
-            self._have_idle.notify_all()
+        try:
+            self._fill()
+        except PoolUnavailableError as exc:
+            logger.warning("pool growth spawn failed: %s", exc)
 
     @property
     def closed(self) -> bool:
@@ -491,9 +581,10 @@ class WorkerPool:
     def shutdown(self, *, wait: float = 5.0) -> None:
         """Drain and join every worker; idempotent.
 
-        Idle workers get a polite ``exit`` and a join; busy workers are
-        given ``wait`` seconds to come home, then killed.  After this
-        the pool raises :class:`PoolUnavailableError` on use.
+        Idle workers get a polite ``exit`` and a join; busy and
+        still-starting workers are given ``wait`` seconds to come home,
+        then killed.  After this the pool raises
+        :class:`PoolUnavailableError` on use.
         """
         with self._lock:
             if self._closed:
@@ -501,19 +592,21 @@ class WorkerPool:
             self._closed = True
             idle = list(self._idle)
             self._idle.clear()
+            self._have_idle.notify_all()
         for w in idle:
             self._retire(w)
         limit = time.monotonic() + wait
         while True:
             with self._lock:
-                busy = list(self._busy)
-            if not busy or time.monotonic() >= limit:
+                pending = bool(self._busy) or self._starting > 0
+            if not pending or time.monotonic() >= limit:
                 break
             time.sleep(0.02)
         with self._lock:
-            for w in list(self._busy):
-                self._destroy(w, replace=False)
-            self._have_idle.notify_all()
+            busy = list(self._busy)
+            self._busy.clear()
+        for w in busy:
+            self._reap(w)
 
 
 def run_pooled(
@@ -525,13 +618,13 @@ def run_pooled(
     max_capacity: Optional[int] = None,
     deadline: Optional[float] = None,
 ) -> object:
-    """One supervised kernel run on the shared pool — the amortized
-    twin of :func:`repro.runtime.supervisor.run_supervised`.
+    """One supervised kernel run on the shared pool.
 
-    Same typed-error contract (``KernelTimeoutError`` on the deadline,
-    ``KernelCrashError`` on death by signal, the kernel's own typed
-    errors re-raised), but the sandbox — resident worker, rlimits at
-    spawn, warmed kernel, shm operands — is paid once, not per call.
+    Raises ``KernelTimeoutError`` when the deadline passes,
+    ``KernelCrashError`` on a worker's death by signal, and re-raises
+    the kernel's own typed errors; the sandbox — resident worker,
+    rlimits at spawn, warmed kernel, shm operands — is paid once, not
+    per call.
     """
     pool = get_shared_pool()
     key = pool_key(kernel)
@@ -562,23 +655,59 @@ _shared: Optional[WorkerPool] = None
 _shared_lock = threading.Lock()
 
 
+def _counters(stats: PoolStats, idle: List[_Worker],
+              busy: List[_Worker]) -> Dict[str, object]:
+    return {
+        "worker_pids": sorted(w.proc.pid for w in idle + busy),
+        "idle": len(idle),
+        "busy": len(busy),
+        "spawned": stats.spawned,
+        "replaced": stats.replaced,
+        "evicted": stats.evicted,
+        "calls": stats.calls,
+        "crashes": stats.crashes,
+        "timeouts": stats.timeouts,
+        "avg_dispatch_overhead_ms": round(stats.avg_overhead_s * 1e3, 3),
+    }
+
+
+def shared_pool_counters() -> Dict[str, object]:
+    """:meth:`WorkerPool.counters` of the process-wide pool, all zero
+    before its first use — reading them never starts a worker."""
+    pool = _shared
+    if pool is None or pool.closed:
+        return _counters(PoolStats(), [], [])
+    return pool.counters()
+
+
 def get_shared_pool(workers: Optional[int] = None) -> WorkerPool:
     """The process-wide pool, created on first use.
 
     A later request for more workers grows the existing pool rather
     than building a second one — warmed kernels live in the workers, so
-    one pool concentrates the warmth.
+    one pool concentrates the warmth.  Workers are pinned to the
+    ``REPRO_*`` configuration they spawned under (``RLIMIT_AS`` from
+    ``REPRO_KERNEL_MEM_MB`` among it), so a pool whose configuration no
+    longer matches the environment is retired and replaced: a changed
+    memory cap, auto-grow bound or cache directory reaches every later
+    call, as it would a child forked per call.
     """
     global _shared
     from repro.runtime import executor as executor_mod
 
+    stale = None
     with _shared_lock:
+        if _shared is not None and _shared._env != resilience.repro_env():
+            stale, _shared = _shared, None
         if _shared is None or _shared.closed:
             _shared = WorkerPool(workers)
             executor_mod.register_runtime_shutdown()
         elif workers is not None and workers > _shared.max_workers:
             _shared.grow(workers)
-        return _shared
+        pool = _shared
+    if stale is not None:
+        stale.shutdown()
+    return pool
 
 
 def shutdown_shared_pool() -> None:
@@ -597,5 +726,6 @@ __all__ = [
     "get_shared_pool",
     "pool_key",
     "run_pooled",
+    "shared_pool_counters",
     "shutdown_shared_pool",
 ]

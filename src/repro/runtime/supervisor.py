@@ -1,57 +1,48 @@
-"""Supervised kernel execution: crash containment in a resource-capped child.
+"""Supervised kernel execution: crash containment in a resource-capped
+process.
 
 The Etch pipeline ultimately ``dlopen``s generated ``.so`` kernels into
 the host interpreter via ctypes, so one bad kernel — a segfault from an
 out-of-contract write, a runaway skip loop, an allocation blow-up —
 takes down or wedges the whole process.  The static half of the defense
 is PR 3's capacity lint (``Kernel.needs_guard``); this module is the
-runtime half: :func:`run_supervised` executes one kernel invocation in
-an isolated child process so that the worst a kernel can do is return a
-typed error.
+runtime half: :func:`run_supervised` executes one kernel invocation
+outside the host so that the worst a kernel can do is return a typed
+error.
 
 Containment contract:
 
-* the child runs under POSIX rlimits — ``RLIMIT_AS`` from
-  ``REPRO_KERNEL_MEM_MB`` caps the address space, ``RLIMIT_CPU``
-  (derived from the deadline) backstops a busy loop even if the parent
-  is wedged;
+* the kernel runs under POSIX rlimits — ``RLIMIT_AS`` from
+  ``REPRO_KERNEL_MEM_MB`` caps the address space;
 * the parent enforces a wall-clock deadline (``REPRO_KERNEL_DEADLINE``,
-  default 60 s) and kills the child when it is missed →
+  default 60 s) and kills the process when it is missed →
   :class:`~repro.errors.KernelTimeoutError`;
-* death by signal is decoded from the child's exit status →
+* death by signal is decoded from the exit status →
   :class:`~repro.errors.KernelCrashError` carrying the signal number
   and name;
-* a typed error raised *inside* the child (``CapacityError``,
+* a typed error raised *inside* the process (``CapacityError``,
   ``ShapeError``, ...) crosses the pipe and re-raises in the parent
   exactly as an in-process run would have raised it.
 
-Child start strategy: ``fork`` where available (POSIX) — the child
-inherits the already-loaded ctypes handle and runs immediately, no
-pickling of kernels and no rebuild.  Platforms without ``fork`` use a
-spawned child that rebuilds from the kernel's picklable
-:class:`~repro.compiler.kernel.KernelRecipe` through the two-tier disk
-cache (the same path as the process-pool workers), so the compiled
-artifact is a cache read, never a recompile.
-
-Amortized mode: under ``REPRO_POOL=1`` a recipe-carrying kernel routes
-through the persistent :mod:`repro.runtime.pool` instead of forking a
-fresh child per call — same typed-error contract, but the sandbox cost
-(process start, rlimits, kernel load) is paid once per worker, not per
-call.  The routing is opt-in because the semantics differ in one
-deliberate way: the fork child inherits the parent's **in-memory**
-kernel handle (including any in-process monkeypatching — the
-fault-injection suite depends on that), while a pooled worker rebuilds
-the genuine kernel from its recipe.  A per-call ``mem_mb`` override
-also pins the fork path, since pool workers apply their rlimit once at
-spawn.
+Where it runs: every kernel with a :class:`~repro.compiler.kernel.
+KernelRecipe` runs on a resident, pre-warmed worker of the shared
+:mod:`repro.runtime.pool` — rlimits, process start and kernel load are
+paid once per worker, operands travel over shared memory.  A
+recipe-less kernel (one bound to a ``FunctionInput`` callable) cannot
+reach a worker that was started fresh, so it runs in a child forked
+per call, which inherits the loaded kernel and its callables by memory
+copy; ``RLIMIT_CPU`` backstops a busy loop there.  The fork child is
+also the one degradation of the pooled path: when the pool cannot serve
+a call (a worker cannot be spawned), the call falls back to it and
+:data:`fork_fallbacks` counts it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
+import threading
 import time
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.compiler import resilience
 from repro.compiler.resilience import logger
@@ -102,11 +93,11 @@ def _child_entry(
 ) -> None:
     """Forked-child body: apply rlimits, run, report through the pipe.
 
-    With the ``fork`` start method the arguments are inherited by
-    memory copy, not pickled — the compiled ctypes handle travels for
-    free.  The report is ``("ok", result)`` or ``("err", exc)``;
-    anything that escapes both (a segfault, an rlimit kill) leaves its
-    mark in the exit status instead, which the parent decodes.
+    The arguments are inherited by memory copy, not pickled — the
+    compiled ctypes handle and any bound callables travel for free.
+    The report is ``("ok", result)`` or ``("err", exc)``; anything that
+    escapes both (a segfault, an rlimit kill) leaves its mark in the
+    exit status instead, which the parent decodes.
     """
     try:
         import faulthandler
@@ -137,54 +128,20 @@ def _child_entry(
         conn.close()
 
 
-def _spawn_entry(
-    conn,
-    recipe,
-    env: Mapping[str, str],
-    cache_dir: str,
-    tensors,
-    capacity,
-    auto_grow,
-    max_capacity,
-    mem_mb,
-    cpu_seconds,
-) -> None:  # pragma: no cover - exercised only on fork-less platforms
-    """Spawned-child body: pin the parent's configuration, rebuild the
-    kernel from its recipe (a warm-cache read), then run like
-    :func:`_child_entry`."""
-    from repro.runtime.worker import init_worker
-
-    init_worker(cache_dir, env)
-    kernel = recipe.build()
-    _child_entry(
-        conn, kernel, tensors, capacity, auto_grow, max_capacity,
-        mem_mb, cpu_seconds,
-    )
-
-
-def _supervise_context() -> multiprocessing.context.BaseContext:
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-
-
 def can_supervise(kernel) -> bool:
-    """Whether this kernel can run supervised on this platform: always
-    under ``fork``; under ``spawn`` only recipe-carrying kernels (a
-    ``FunctionInput`` callable cannot cross a spawn boundary)."""
-    if "fork" in multiprocessing.get_all_start_methods():
+    """Whether this kernel can run supervised on this platform: a
+    recipe-carrying kernel always (the pool rebuilds it in a worker);
+    a recipe-less one only where ``fork`` exists."""
+    if getattr(kernel, "recipe", None) is not None:
         return True
-    return getattr(kernel, "recipe", None) is not None
+    return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _pool_route(kernel, mem_mb) -> bool:
-    """Whether this supervised call should be served by the persistent
-    pool: ``REPRO_POOL`` on, a recipe to rebuild from, and no per-call
-    memory override (pool rlimits are fixed at worker spawn)."""
-    return (
-        mem_mb is None
-        and resilience.pool_enabled()
-        and getattr(kernel, "recipe", None) is not None
-    )
+#: supervised calls of recipe kernels the pool could not serve, run in
+#: a fork-per-call child instead (serve's ``/stats``
+#: ``pool.fork_fallbacks``)
+fork_fallbacks = 0
+_fallback_lock = threading.Lock()
 
 
 def run_supervised(
@@ -195,23 +152,24 @@ def run_supervised(
     auto_grow: bool = False,
     max_capacity: Optional[int] = None,
     deadline: Optional[float] = None,
-    mem_mb: Optional[int] = None,
 ):
-    """Run one kernel invocation in a supervised, resource-capped child.
+    """Run one kernel invocation in a supervised, resource-capped
+    process: a pool worker for recipe kernels, a forked child for
+    recipe-less ones.
 
-    Returns the child's result (the output tensor or scalar, pickled
-    back over a pipe).  Raises:
+    Returns the result (the output tensor or scalar).  Raises:
 
     * :class:`~repro.errors.KernelTimeoutError` — the wall-clock
       ``deadline`` (default ``REPRO_KERNEL_DEADLINE``) passed and the
-      parent killed the child;
-    * :class:`~repro.errors.KernelCrashError` — the child died by
+      parent killed the process;
+    * :class:`~repro.errors.KernelCrashError` — the process died by
       signal (or exited without reporting a result);
-    * whatever typed error the kernel itself raised in the child
+    * whatever typed error the kernel itself raised
       (``CapacityError`` with its sizing metadata, ``ShapeError``, ...),
       re-raised in the parent.
     """
-    if _pool_route(kernel, mem_mb):
+    global fork_fallbacks
+    if getattr(kernel, "recipe", None) is not None:
         from repro.runtime import pool as pool_mod
 
         try:
@@ -220,39 +178,29 @@ def run_supervised(
                 max_capacity=max_capacity, deadline=deadline,
             )
         except pool_mod.PoolUnavailableError as exc:
+            with _fallback_lock:
+                fork_fallbacks += 1
             logger.warning(
-                "kernel %r: pool route unavailable (%s); falling back to "
-                "the fork-per-call supervisor", kernel.name, exc,
+                "kernel %r: worker pool unavailable (%s); falling back to "
+                "a fork-per-call child", kernel.name, exc,
             )
+    # a child forked per call: the only path for a recipe-less kernel,
+    # whose bound callables cannot reach a worker started fresh — the
+    # fork inherits them, and the loaded kernel, by memory copy
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise KernelCrashError(
+            f"kernel {kernel.name!r} cannot run supervised: no worker "
+            "pool and no fork on this platform"
+        )
     deadline = deadline if deadline is not None else resilience.kernel_deadline()
-    mem_mb = mem_mb if mem_mb is not None else resilience.kernel_mem_mb()
-    ctx = _supervise_context()
-
+    ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    if ctx.get_start_method() == "fork":
-        proc = ctx.Process(
-            target=_child_entry,
-            args=(send, kernel, tensors, capacity, auto_grow, max_capacity,
-                  mem_mb, deadline),
-            daemon=True,
-        )
-    else:  # pragma: no cover - exercised only on fork-less platforms
-        recipe = getattr(kernel, "recipe", None)
-        if recipe is None:
-            raise KernelCrashError(
-                f"kernel {kernel.name!r} cannot run supervised: no fork on "
-                "this platform and no picklable rebuild recipe "
-                "(function-valued input)"
-            )
-        from repro.compiler.cache import default_cache_dir
-
-        env = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
-        proc = ctx.Process(
-            target=_spawn_entry,
-            args=(send, recipe, env, str(default_cache_dir()), tensors,
-                  capacity, auto_grow, max_capacity, mem_mb, deadline),
-            daemon=True,
-        )
+    proc = ctx.Process(
+        target=_child_entry,
+        args=(send, kernel, tensors, capacity, auto_grow, max_capacity,
+              resilience.kernel_mem_mb(), deadline),
+        daemon=True,
+    )
     start = time.monotonic()
     proc.start()
     send.close()  # the child's end lives on in the child

@@ -122,6 +122,7 @@ def pool_worker_main(
     except Exception:  # pragma: no cover - faulthandler always importable
         pass
     init_worker(cache_dir, env)
+    from repro.compiler import resilience
     from repro.runtime import shm
     from repro.runtime.supervisor import _apply_rlimits
 
@@ -150,6 +151,10 @@ def pool_worker_main(
             if kind == "run":
                 (_, key, recipe, refs, output_dims, capacity, auto_grow,
                  max_capacity, rname, threshold) = msg
+                # chaos hook: REPRO_FAULT=supervised_child:sigkill models
+                # a worker OOM-killed mid-call; ``raise`` mode escapes the
+                # loop, so the worker exits without a reply
+                resilience.fault_point("supervised_child")
                 start = time.perf_counter()
                 try:
                     kernel = kernels.get(key)

@@ -2,12 +2,14 @@
 
 ``repro.serve`` turns the compiled-kernel library into a long-running
 HTTP/JSON service: clients POST einsum or SQL queries, the server
-canonicalizes them into the kernel build-cache key, executes on the
-supervised runtime (the PR 6 worker pool under ``REPRO_POOL=1``), and
-wraps the whole path in a resilience stack —
+canonicalizes them into the kernel build-cache key, executes every
+kernel supervised on a resident, pre-warmed worker of the shared
+:mod:`repro.runtime.pool` (no process is started per request; ``/stats``
+reports the pool's counters), and wraps the whole path in a resilience
+stack —
 
-* per-request **deadline budgets** propagated down to the supervised
-  child's wall-clock kill (:mod:`repro.serve.deadline`),
+* per-request **deadline budgets** propagated down to the pool
+  worker's wall-clock kill (:mod:`repro.serve.deadline`),
 * **admission control** and load shedding: a token-bucket rate limit,
   an in-flight cap, and circuit-breaker rejection *before* any compile
   happens (:mod:`repro.serve.admission`),

@@ -2,8 +2,8 @@
 
 One event loop owns admission, coalescing, and all socket I/O; the
 blocking work (query canonicalization, kernel builds, supervised runs)
-happens on a bounded thread-pool executor, and the supervised child
-processes under it enforce the real deadlines.  The request path::
+happens on a bounded thread-pool executor, and the resident worker pool
+under it runs every kernel and enforces the real deadlines.  The request path::
 
     POST /query
       │ parse JSON, canonicalize (executor)        → 400 on bad input
@@ -339,7 +339,9 @@ class ContractionServer:
 
     # -- observability -------------------------------------------------
     def _stats(self) -> Dict[str, Any]:
+        from repro.runtime import supervisor
         from repro.runtime.breaker import breaker
+        from repro.runtime.pool import shared_pool_counters
 
         lat = sorted(self._latencies)
 
@@ -361,6 +363,8 @@ class ContractionServer:
             "latency_ms": {"p50": pct(0.50), "p90": pct(0.90),
                            "p99": pct(0.99)},
             "breaker": breaker.snapshot(),
+            "pool": {**shared_pool_counters(),
+                     "fork_fallbacks": supervisor.fork_fallbacks},
         }
 
 

@@ -2,7 +2,7 @@
 
 A request enters the server with one wall-clock budget; every stage —
 queueing, coalescing, compiling, each retry attempt, the supervised
-child itself — spends from the *same* clock.  The budget's remaining
+run itself — spends from the *same* clock.  The budget's remaining
 time is what gets handed to ``Kernel.run(deadline=...)``, so a request
 that spent half its budget waiting in a batch window gives the kernel
 only the other half, and a request whose budget is gone is failed

@@ -1,13 +1,16 @@
 """Injected-crash backend kernels for the supervisor tests.
 
 Each class below is a drop-in stand-in for a compiled backend kernel
-(the ``kernel._kernel`` callable): sabotaging a built
-:class:`~repro.compiler.kernel.Kernel` with one of these makes its next
-run die in a specific, reproducible way.  The ``fork`` start method of
-the supervisor inherits the sabotaged handle by memory copy, so the
-*child* dies exactly as a genuinely faulty compiled kernel would, while
-the host interpreter (and the test suite) survives to decode the exit
-status.
+(the ``kernel._kernel`` callable) that makes a run die in a specific,
+reproducible way.  Supervised runs of recipe-carrying kernels execute
+on pool workers that rebuild the kernel from its recipe, so the fault
+has to travel *in the recipe*: :func:`sabotage_recipe` swaps a built
+kernel's recipe for a :class:`FaultyRecipe`, whose worker-side builds
+come back with the fault installed — the worker then dies exactly as a
+genuinely faulty compiled kernel would, while the host interpreter (and
+the test suite) survives to decode the exit status.  :func:`sabotage`
+swaps the in-memory handle instead, for recipe-less kernels, whose
+fork-per-call child inherits it by memory copy.
 
 ``c_segfault_kernel`` goes one step further and compiles a real C
 kernel — same signature as the sabotaged kernel, body replaced with an
@@ -17,12 +20,16 @@ tests that want the crash to originate in actual generated-style code.
 
 from __future__ import annotations
 
+import copy
 import ctypes
+import dataclasses
 import os
 import signal
 import time
+from typing import Optional
 
 from repro.compiler import codegen_c
+from repro.compiler.kernel import KernelRecipe
 
 
 class SegfaultKernel:
@@ -91,4 +98,50 @@ def sabotage(kernel, fake):
     original so tests can heal the kernel later."""
     original = kernel._kernel
     kernel._kernel = fake
+    return original
+
+
+#: fault name → builder of the stand-in backend kernel for a built kernel
+FAULTS = {
+    "segfault": lambda kernel: SegfaultKernel(),
+    "oom": lambda kernel: OomKernel(),
+    "spin": lambda kernel: SpinKernel(),
+    "c_oob": c_segfault_kernel,
+}
+
+
+@dataclasses.dataclass(frozen=True)
+class FaultyRecipe(KernelRecipe):
+    """A kernel recipe whose builds come back with ``fault`` installed.
+
+    ``fault`` is not an ``__init__`` field, so ``dataclasses.replace``
+    — how the circuit breaker derives the pure-Python fallback recipe —
+    yields a healthy recipe, just as for a genuinely faulty kernel.
+    """
+
+    fault: Optional[str] = dataclasses.field(default=None, init=False)
+
+    @classmethod
+    def of(cls, recipe: KernelRecipe, fault: str) -> "FaultyRecipe":
+        faulty = cls(**{f.name: getattr(recipe, f.name)
+                        for f in dataclasses.fields(KernelRecipe)})
+        object.__setattr__(faulty, "fault", fault)
+        return faulty
+
+    def build(self, cache: bool = True):
+        kernel = super().build(cache)
+        if self.fault is None:
+            return kernel
+        # a clone: the build cache's memoized kernel stays healthy
+        faulty = copy.copy(kernel)
+        faulty._kernel = FAULTS[self.fault](kernel)
+        return faulty
+
+
+def sabotage_recipe(kernel, fault: str):
+    """Make every worker-side build of ``kernel`` die with ``fault`` (a
+    :data:`FAULTS` name); returns the original recipe so tests can heal
+    the kernel later."""
+    original = kernel.recipe
+    kernel.recipe = FaultyRecipe.of(original, fault)
     return original

@@ -1,12 +1,12 @@
 """Fault injection against the persistent worker pool.
 
 The pool rebuilds kernels from their *recipes* inside the workers, so
-the in-memory sabotage of ``crash_kernels`` never crosses the boundary
-(that is a feature — see ``pin_fork_supervision`` in
-``test_supervisor.py``).  The honest injection vector here is the
-recipe itself: :class:`FaultRecipe` builds a kernel that dies — or
-raises — in a specific way *inside the worker*, exactly where a real
-miscompiled kernel would.
+in-memory sabotage of a built kernel never crosses the boundary.  The
+honest injection vector is the recipe itself: :class:`FaultRecipe`
+builds a kernel that dies — or raises — in a specific way *inside the
+worker*, exactly where a real miscompiled kernel would (the compiled
+kernels of ``test_supervisor.py`` use the same vector through
+``crash_kernels.sabotage_recipe``).
 
 The contract under test: a dead worker never kills the pool (the call
 that observed the death gets its typed error, a replacement takes the
@@ -22,6 +22,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ import gc
 
 import pytest
 
-from repro.compiler import resilience
 from repro.errors import CapacityError, KernelCrashError, KernelTimeoutError
 from repro.runtime import pool as pool_mod
 from repro.runtime import shm
@@ -68,7 +68,13 @@ class FaultRecipe:
     mode: str
 
     def build(self):
+        if self.mode == "slow_build":
+            time.sleep(SLOW_BUILD_S)
         return FaultKernel(self.mode)
+
+
+#: build time of the ``slow_build`` recipe, seconds
+SLOW_BUILD_S = 1.5
 
 
 class FaultKernel:
@@ -167,16 +173,49 @@ def test_replacement_worker_is_rewarmed(pool):
     assert ok_key in pool._idle[0].warmed
 
 
-def test_pooled_supervised_crash_is_typed(monkeypatch):
-    """``REPRO_POOL=1`` supervised routing: a worker death comes back
-    as the same typed error the fork-per-call supervisor raises."""
-    monkeypatch.setenv(resilience.ENV_POOL, "1")
+def test_pooled_supervised_crash_is_typed():
+    """Supervised runs of recipe kernels go to the pool: a worker death
+    comes back as the same typed error a forked child's death raises."""
     with pytest.raises(KernelCrashError) as err:
         run_supervised(FaultKernel("sigsegv"), {})
     assert err.value.signal == signal.SIGSEGV
     result = run_supervised(FaultKernel("ok"), {})
     assert result == 42.0
     pool_mod.shutdown_shared_pool()
+
+
+def test_healthy_call_completes_while_a_replacement_warms():
+    """The pool lock guards bookkeeping only: while a crashed worker's
+    replacement is spawned and re-warmed with a recipe whose build takes
+    seconds, a call on the healthy worker completes without waiting."""
+    pool = pool_mod.WorkerPool(2)
+    try:
+        slow = FaultKernel("slow_build")
+        pool.register_recipe(pool_mod.pool_key(slow), slow.recipe)
+        errors = []
+
+        def crash():
+            try:
+                _call(pool, FaultKernel("sigkill"))
+            except KernelCrashError as exc:
+                errors.append(exc)
+
+        crasher = threading.Thread(target=crash)
+        crasher.start()
+        limit = time.monotonic() + 60
+        while pool.stats.spawned < 3 and time.monotonic() < limit:
+            time.sleep(0.005)
+        assert pool.stats.spawned == 3  # the replacement is warming
+        t0 = time.monotonic()
+        result, _s, _p = _call(pool, FaultKernel("ok"))
+        elapsed = time.monotonic() - t0
+        crasher.join(60)
+        assert result == 42.0
+        assert elapsed < SLOW_BUILD_S / 2
+        assert len(errors) == 1 and errors[0].signal == signal.SIGKILL
+        assert len(pool._idle) == 2
+    finally:
+        pool.shutdown()
 
 
 def test_crash_unlinks_the_result_segment(pool, tmp_path):

@@ -6,6 +6,12 @@ of :mod:`repro.runtime.supervisor`: the host survives, the failure
 comes back as a typed error with its metadata, and kernels that keep
 dying are quarantined behind the circuit breaker, which serves the
 pure-Python fallback until a backoff re-probe succeeds.
+
+Recipe-carrying kernels run supervised on pool workers, so their faults
+ride in the recipe (:func:`~tests.faults.crash_kernels.sabotage_recipe`)
+and fire inside the worker that production traffic would use.  The
+fork-per-call path is covered by recipe-less (``FunctionInput``)
+kernels, whose in-memory sabotage the forked child inherits.
 """
 
 from __future__ import annotations
@@ -15,8 +21,11 @@ import signal
 import numpy as np
 import pytest
 
-from repro.compiler.kernel import compile_kernel
+from repro.compiler import Op, TFLOAT, TINT
+from repro.compiler.formats import FunctionInput
+from repro.compiler.kernel import OutputSpec, compile_kernel
 from repro.compiler import resilience
+from repro.compiler.scalars import scalar_ops_for
 from repro.errors import (
     CapacityError,
     KernelCrashError,
@@ -24,7 +33,13 @@ from repro.errors import (
     KernelTimeoutError,
 )
 from repro.runtime import breaker as breaker_mod
+from repro.runtime import pool as pool_mod
+from repro.runtime import supervisor as sup_mod
 from repro.runtime.supervisor import can_supervise, run_supervised
+from repro.krelation import Schema
+from repro.lang import Sum, TypeContext, Var
+from repro.semirings import FLOAT
+from repro.workloads import sparse_matrix
 from repro.verification import check_supervised_parity
 
 from tests.faults.conftest import (
@@ -35,11 +50,10 @@ from tests.faults.conftest import (
     copy_problem,
 )
 from tests.faults.crash_kernels import (
-    OomKernel,
     SegfaultKernel,
     SpinKernel,
-    c_segfault_kernel,
     sabotage,
+    sabotage_recipe,
 )
 
 pytestmark = pytest.mark.skipif(
@@ -54,16 +68,6 @@ def clean_breaker():
     breaker_mod.breaker.reset()
     yield
     breaker_mod.breaker.reset()
-
-
-@pytest.fixture(autouse=True)
-def pin_fork_supervision(monkeypatch):
-    """These tests sabotage the *in-memory* kernel handle and rely on
-    the fork child inheriting it; the pooled supervisor would rebuild
-    the genuine kernel from its recipe and never see the sabotage.  Pin
-    the fork-per-call path regardless of the ambient ``REPRO_POOL``
-    (the CI pool job sets it for the whole suite)."""
-    monkeypatch.setenv(resilience.ENV_POOL, "0")
 
 
 def _build(problem=spmv_problem, backend="python", **kw):
@@ -99,7 +103,7 @@ def test_supervised_sparse_output_parity():
 # ----------------------------------------------------------------------
 def test_sigsegv_becomes_typed_error():
     kernel, tensors = _build()
-    sabotage(kernel, SegfaultKernel())
+    sabotage_recipe(kernel, "segfault")
     with pytest.raises(KernelCrashError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.signal == signal.SIGSEGV
@@ -111,7 +115,7 @@ def test_sigsegv_becomes_typed_error():
 @requires_toolchain
 def test_compiled_c_out_of_bounds_store_is_contained():
     kernel, tensors = _build(backend="c")
-    sabotage(kernel, c_segfault_kernel(kernel))
+    sabotage_recipe(kernel, "c_oob")
     with pytest.raises(KernelCrashError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.signal == signal.SIGSEGV
@@ -122,7 +126,7 @@ def test_memory_cap_kill_is_decoded(monkeypatch):
 
     Ported onto the consolidated ``REPRO_FAULT`` hook: the
     ``supervised_child`` site delivers a genuine SIGKILL at the top of
-    the forked child (the env reaches the fork for free), modelling the
+    the pool worker's call (the workers inherit the env), modelling the
     OOM killer without a sabotage kernel.  The real-rlimit variant
     lives in :func:`test_rlimit_memory_cap_kill_is_decoded`."""
     monkeypatch.setenv(resilience.ENV_FAULT, "supervised_child:sigkill")
@@ -137,7 +141,7 @@ def test_memory_cap_kill_is_decoded(monkeypatch):
 def test_rlimit_memory_cap_kill_is_decoded(monkeypatch):
     monkeypatch.setenv(resilience.ENV_KERNEL_MEM_MB, "1024")
     kernel, tensors = _build()
-    sabotage(kernel, OomKernel())
+    sabotage_recipe(kernel, "oom")
     with pytest.raises(KernelCrashError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.signal == signal.SIGKILL
@@ -145,9 +149,9 @@ def test_rlimit_memory_cap_kill_is_decoded(monkeypatch):
 
 
 def test_injected_child_fault_raise_mode_is_contained(monkeypatch):
-    """``raise`` mode at the supervised_child site escapes the child's
+    """``raise`` mode at the supervised_child site escapes the worker's
     reporting machinery (the fault fires before the try block), so the
-    child exits nonzero — which the parent decodes to a typed
+    worker exits nonzero — which the parent decodes to a typed
     KernelCrashError, not a hang or a silent success."""
     monkeypatch.setenv(resilience.ENV_FAULT, "supervised_child:raise")
     resilience.reset_fault_counters()
@@ -159,7 +163,7 @@ def test_injected_child_fault_raise_mode_is_contained(monkeypatch):
 def test_infinite_loop_misses_deadline(monkeypatch):
     monkeypatch.setenv(resilience.ENV_KERNEL_DEADLINE, "1.0")
     kernel, tensors = _build()
-    sabotage(kernel, SpinKernel())
+    sabotage_recipe(kernel, "spin")
     with pytest.raises(KernelTimeoutError) as err:
         kernel.run(tensors, parallel=False, supervised=True)
     assert err.value.deadline == pytest.approx(1.0)
@@ -209,8 +213,6 @@ def test_needs_guard_c_kernels_auto_supervise(monkeypatch):
             proven = False
         kernel.capacity_findings = [_Unproven()]
     calls = []
-    import repro.runtime.supervisor as sup_mod
-
     real = sup_mod.run_supervised
 
     def recording(*args, **kw):
@@ -229,7 +231,7 @@ def test_breaker_opens_and_serves_python_fallback(monkeypatch, caplog):
     monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "2")
     kernel, tensors = _build()
     oracle = kernel._run_single(tensors)  # the healthy serial result
-    sabotage(kernel, SegfaultKernel())
+    sabotage_recipe(kernel, "segfault")
     with caplog.at_level("WARNING", logger="repro"):
         for _ in range(2):
             with pytest.raises(KernelCrashError):
@@ -247,7 +249,7 @@ def test_probe_failure_degrades_transparently(monkeypatch, caplog):
     monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1")
     kernel, tensors = _build()
     oracle = kernel._run_single(tensors)
-    sabotage(kernel, SegfaultKernel())
+    sabotage_recipe(kernel, "segfault")
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)
     key = kernel.cache_key
@@ -269,11 +271,14 @@ def test_probe_success_closes_the_breaker(monkeypatch, caplog):
     monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1")
     kernel, tensors = _build()
     oracle = kernel._run_single(tensors)
-    healthy = sabotage(kernel, SegfaultKernel())
+    healthy = sabotage_recipe(kernel, "segfault")
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)
     key = kernel.cache_key
-    sabotage(kernel, healthy)  # the kernel recovers
+    # the kernel recovers: its healthy build replaces the resident
+    # faulty one in a fresh pool
+    kernel.recipe = healthy
+    pool_mod.shutdown_shared_pool()
     breaker_mod.breaker._records[key].opened_at -= 1e6
     with caplog.at_level("WARNING", logger="repro"):
         result = kernel.run(tensors, parallel=False, supervised=True)
@@ -286,7 +291,7 @@ def test_breaker_state_survives_a_restart(monkeypatch):
     """The on-disk kbrk record re-quarantines without fresh crashes."""
     monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1")
     kernel, tensors = _build()
-    sabotage(kernel, SegfaultKernel())
+    sabotage_recipe(kernel, "segfault")
     with pytest.raises(KernelCrashError):
         kernel.run(tensors, parallel=False, supervised=True)
     fresh = breaker_mod.CircuitBreaker()  # simulates a new process
@@ -299,7 +304,7 @@ def test_breaker_state_survives_a_restart(monkeypatch):
 def test_crashing_shard_fails_over_per_shard(monkeypatch):
     monkeypatch.setenv(resilience.ENV_BREAKER_THRESHOLD, "1000")
     kernel, tensors = _build()
-    sabotage(kernel, SegfaultKernel())
+    sabotage_recipe(kernel, "segfault")
     stats = []
     result = kernel.run_sharded(
         tensors, executor="thread", shards=2, supervised=True,
@@ -309,3 +314,65 @@ def test_crashing_shard_fails_over_per_shard(monkeypatch):
     assert len(stats) == 2
     assert all(s.failover and s.worker == "fallback" for s in stats)
     assert [s.failover for s in kernel.last_shard_stats] == [True, True]
+
+
+# ----------------------------------------------------------------------
+# recipe-less kernels: the fork-per-call child
+# ----------------------------------------------------------------------
+def _function_input_kernel():
+    """A kernel bound to a Python callable: no recipe, so supervision
+    forks a child per call (a callable cannot reach a fresh worker)."""
+    ops = scalar_ops_for(FLOAT)
+    even = Op(
+        "even", (TINT,), TFLOAT,
+        spec=lambda j: 1.0 if j % 2 == 0 else 0.0,
+        c_expr=lambda j: f"(({j}) % 2 == 0 ? 1.0 : 0.0)",
+    )
+    n = 16
+    A = sparse_matrix(n, n, 0.3, attrs=("i", "j"), seed=5)
+    ctx = TypeContext(Schema.of(i=None, j=None),
+                      {"A": {"i", "j"}, "p": {"j"}})
+    kernel = compile_kernel(
+        Sum("j", Var("A") * Var("p")), ctx,
+        {"A": A, "p": FunctionInput("p", ("j",), even, ops)},
+        OutputSpec(("i",), ("dense",), (n,)),
+        semiring=FLOAT, backend="python", name="sup_fninput",
+    )
+    assert kernel.recipe is None
+    return kernel, {"A": A}
+
+
+def test_recipe_less_kernel_runs_in_a_fork_child():
+    kernel, tensors = _function_input_kernel()
+    oracle = kernel._run_single(tensors)
+    result = kernel.run(tensors, parallel=False, supervised=True)
+    assert np.array_equal(np.asarray(result.vals), np.asarray(oracle.vals))
+    # no pool was involved
+    assert pool_mod.shared_pool_counters()["calls"] == 0
+
+
+@pytest.mark.parametrize("fake, error", [
+    (SegfaultKernel, KernelCrashError),
+    (SpinKernel, KernelTimeoutError),
+])
+def test_recipe_less_fault_is_typed(monkeypatch, fake, error):
+    monkeypatch.setenv(resilience.ENV_KERNEL_DEADLINE, "1.0")
+    kernel, tensors = _function_input_kernel()
+    sabotage(kernel, fake())
+    with pytest.raises(error):
+        kernel.run(tensors, parallel=False, supervised=True)
+
+
+def test_unavailable_pool_falls_back_to_fork_and_counts(monkeypatch):
+    """The one degradation of the pooled path: a pool that cannot start
+    a worker sends the call to a fork child, and the named counter
+    records it."""
+    def no_spawn(self):
+        raise pool_mod.PoolUnavailableError("spawn refused")
+
+    monkeypatch.setattr(pool_mod.WorkerPool, "_spawn", no_spawn)
+    kernel, tensors = _build()
+    before = sup_mod.fork_fallbacks
+    result = run_supervised(kernel, tensors)
+    assert np.allclose(np.asarray(result.vals), expected_spmv(tensors))
+    assert sup_mod.fork_fallbacks == before + 1

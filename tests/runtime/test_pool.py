@@ -229,12 +229,11 @@ def test_run_batch_pool_executor():
     assert [r.to_dict() for r in serial] == [r.to_dict() for r in pooled]
 
 
-def test_pooled_supervised_routing(monkeypatch):
-    """``REPRO_POOL=1`` routes supervised runs through the pool; the
+def test_pooled_supervised_routing():
+    """Supervised runs of recipe kernels go through the pool; the
     result matches the in-process run and the pool records the call."""
     from repro.runtime.supervisor import run_supervised
 
-    monkeypatch.setenv(resilience.ENV_POOL, "1")
     kernel, tensors = spmv_kernel(name="pool_sup_spmv")
     direct = kernel._run_single(tensors)
     pooled = run_supervised(kernel, tensors)
@@ -243,12 +242,25 @@ def test_pooled_supervised_routing(monkeypatch):
     pool_mod.shutdown_shared_pool()
 
 
-def test_pooled_supervised_honors_mem_mb_pin(monkeypatch):
-    """A per-call ``mem_mb`` override pins the fork path (pool rlimits
-    are fixed at spawn) — the pool must NOT serve the call."""
-    from repro.runtime.supervisor import _pool_route
+def test_shared_pool_follows_mem_cap_change(monkeypatch):
+    """Pool workers apply ``RLIMIT_AS`` once, at spawn: a change of
+    ``REPRO_KERNEL_MEM_MB`` retires the shared pool and the next call
+    runs on workers spawned under the new cap."""
+    from repro.runtime.supervisor import run_supervised
 
-    monkeypatch.setenv(resilience.ENV_POOL, "1")
-    kernel, _tensors = spmv_kernel(name="pool_sup_mem")
-    assert _pool_route(kernel, None) is True
-    assert _pool_route(kernel, 256) is False
+    monkeypatch.delenv(resilience.ENV_KERNEL_MEM_MB, raising=False)
+    kernel, tensors = spmv_kernel(name="pool_sup_mem")
+    first = pool_mod.get_shared_pool()
+    assert first.mem_mb is None
+    monkeypatch.setenv(resilience.ENV_KERNEL_MEM_MB, "2048")
+    result = run_supervised(kernel, tensors)
+    np.testing.assert_allclose(np.asarray(result.vals), expected(tensors))
+    capped = pool_mod.get_shared_pool()
+    assert capped is not first and first.closed
+    assert capped.mem_mb == 2048 and capped.stats.calls == 1
+    with open(f"/proc/{capped.counters()['worker_pids'][0]}/limits") as f:
+        limits = f.read()
+    assert str(2048 << 20) in limits
+    # the same cap keeps the same pool
+    assert pool_mod.get_shared_pool() is capped
+    pool_mod.shutdown_shared_pool()

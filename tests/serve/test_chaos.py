@@ -1,21 +1,22 @@
 """Chaos: crashing kernels behind the full serving stack.
 
-The fault hook sabotages the native kernel handle of every *einsum*
-kernel the server builds for the poisoned spec, so supervised children
-genuinely segfault.  The expected ladder:
+The fault hook sabotages the recipe of every *einsum* kernel the
+server builds for the poisoned spec, so the pool workers that rebuild
+and run it genuinely segfault — the same path production traffic takes.
+The expected ladder:
 
 request 1: crash → one replay on the retry loop → crash → 500
 request 2: crash → breaker trips at the threshold → the in-flight
            retry transparently serves the pure-Python fallback → 200
 request 3+: rejected at admission — 503 + Retry-After, no compile,
-           no fork (the breaker gate fires on the cache key alone)
+           no dispatch (the breaker gate fires on the cache key alone)
 """
 
 from __future__ import annotations
 
 import time
 
-from tests.faults.crash_kernels import SegfaultKernel
+from tests.faults.crash_kernels import FaultyRecipe, sabotage_recipe
 from tests.serve.harness import einsum_query
 
 POISON_SPEC = "ij,jk->ik"
@@ -24,8 +25,8 @@ HEALTHY_SPEC = "i,i->"
 
 def _poison_hook(kernel):
     if kernel.name.startswith("einsum_ij_jk") and not isinstance(
-            kernel._kernel, SegfaultKernel):
-        kernel._kernel = SegfaultKernel()
+            kernel.recipe, FaultyRecipe):
+        sabotage_recipe(kernel, "segfault")
 
 
 def test_crash_ladder_to_breaker_rejection(make_server, monkeypatch):
@@ -52,7 +53,7 @@ def test_crash_ladder_to_breaker_rejection(make_server, monkeypatch):
     assert third.status == 503
     assert third.retry_after is not None and third.retry_after >= 1
     assert "breaker" in third.json["error"]
-    # rejection happens pre-compile/pre-fork: it must be near-instant
+    # rejection happens pre-compile/pre-dispatch: it must be near-instant
     assert shed_ms < 500
 
     # a different kernel is unaffected by the quarantined one

@@ -185,7 +185,6 @@ def test_sigterm_drains_in_flight_then_exits_clean(tmp_path):
     env["REPRO_KERNEL_CACHE_DIR"] = str(tmp_path / "kcache")
     env["REPRO_SERVE_PORT"] = "0"
     env["REPRO_SERVE_DRAIN"] = str(drain_budget)
-    env.pop("REPRO_POOL", None)
     shm_before = _shm_segments()
 
     proc = subprocess.Popen(

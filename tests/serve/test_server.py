@@ -23,6 +23,31 @@ def test_health_ready_stats(make_server):
     assert server.request("PUT", "/query").status == 405
 
 
+def test_stats_reports_pool_and_fork_fallbacks(make_server, monkeypatch):
+    """``/stats`` carries the supervision pool's counters as JSON, and
+    the one degradation of the pooled path — pool unavailable, fork
+    fallback — as a named counter."""
+    from repro.runtime import pool as pool_mod
+
+    server = make_server()
+    assert server.query(einsum_query()).status == 200
+    pool = server.request("GET", "/stats").json["pool"]
+    assert pool["calls"] == 1
+    assert pool["crashes"] == pool["timeouts"] == 0
+    assert pool["idle"] + pool["busy"] == len(pool["worker_pids"]) >= 1
+    assert pool["spawned"] >= 1 and pool["avg_dispatch_overhead_ms"] > 0
+
+    def refuse(self):
+        raise pool_mod.PoolUnavailableError("spawn refused")
+
+    pool_mod.shutdown_shared_pool()
+    monkeypatch.setattr(pool_mod.WorkerPool, "_spawn", refuse)
+    assert server.query(einsum_query(seed=3)).status == 200
+    after = server.request("GET", "/stats").json["pool"]
+    assert after["fork_fallbacks"] == pool["fork_fallbacks"] + 1
+    assert after["calls"] == 0 and after["worker_pids"] == []
+
+
 def test_einsum_query_roundtrip(make_server):
     server = make_server()
     resp = server.query(einsum_query())
@@ -113,11 +138,11 @@ def test_compatible_queries_batch(make_server):
 
 
 def test_deadline_budget_times_out_spinning_kernel(make_server):
-    from tests.faults.crash_kernels import SpinKernel
+    from tests.faults.crash_kernels import FaultyRecipe, sabotage_recipe
 
     def sabotage(kernel):
-        if not isinstance(kernel._kernel, SpinKernel):
-            kernel._kernel = SpinKernel()
+        if not isinstance(kernel.recipe, FaultyRecipe):
+            sabotage_recipe(kernel, "spin")
 
     server = make_server(fault_hook=sabotage, deadline=8.0, retries=0)
     t0 = time.monotonic()
